@@ -1,0 +1,8 @@
+"""Self-tests of the benchmark: ``python3 -m pytest perfbench -q``."""
+
+import sys
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+if _SRC not in sys.path:
+    sys.path.insert(0, _SRC)
