@@ -11,7 +11,8 @@ environment variables:
 * ``REPRO_BENCH_EPOCHS`` — RMI training epochs (default 40).
 
 Every benchmark writes its measured rows as JSON under
-``benchmarks/out/`` — EXPERIMENTS.md quotes those files.
+``benchmarks/out/``; the README's "Tests and benchmarks" section lists
+the commands.
 """
 
 from __future__ import annotations

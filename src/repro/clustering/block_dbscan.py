@@ -70,8 +70,9 @@ class BlockDBSCAN(Clusterer):
         engine statistics and sharding. The algorithm itself visits each
         seed at most once, so no query repeats on either path.
     batch_queries:
-        Deprecated: folds into ``execution`` (a ``DeprecationWarning``)
-        and produces identical results.
+        Removed: passing it raises
+        :class:`~repro.exceptions.RemovedAPIError` naming its
+        ``execution=ExecutionConfig(...)`` replacement.
     """
 
     algo_name = "block-dbscan"

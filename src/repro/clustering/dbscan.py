@@ -50,8 +50,9 @@ class DBSCAN(Clusterer):
         matrix products; ``batch_queries=False`` keeps the per-point
         reference loop. The clustering is identical either way.
     index_factory, batch_queries:
-        Deprecated: both fold into ``execution`` (a
-        ``DeprecationWarning`` each) and produce identical results.
+        Removed: passing either raises
+        :class:`~repro.exceptions.RemovedAPIError` naming its
+        ``execution=ExecutionConfig(...)`` replacement.
 
     Examples
     --------

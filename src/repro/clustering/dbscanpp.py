@@ -58,8 +58,9 @@ class DBSCANPlusPlus(Clusterer):
         config is set); ``batch_queries=False`` keeps the per-point
         reference loop. Identical output either way.
     batch_queries:
-        Deprecated: folds into ``execution`` (a ``DeprecationWarning``)
-        and produces identical results.
+        Removed: passing it raises
+        :class:`~repro.exceptions.RemovedAPIError` naming its
+        ``execution=ExecutionConfig(...)`` replacement.
     """
 
     algo_name = "dbscan++"

@@ -62,8 +62,9 @@ class RhoApproxDBSCAN(Clusterer):
         ``batch_queries=False`` keeps the per-point reference loops.
         Identical output either way.
     batch_queries:
-        Deprecated: folds into ``execution`` (a ``DeprecationWarning``)
-        and produces identical results.
+        Removed: passing it raises
+        :class:`~repro.exceptions.RemovedAPIError` naming its
+        ``execution=ExecutionConfig(...)`` replacement.
     """
 
     algo_name = "rho-approx"

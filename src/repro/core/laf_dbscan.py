@@ -71,8 +71,9 @@ class LAFDBSCAN(Clusterer):
         post-processing — is identical to the per-point path
         (``batch_queries=False``).
     index_factory, batch_queries:
-        Deprecated: both fold into ``execution`` (a
-        ``DeprecationWarning`` each) and produce identical results.
+        Removed: passing either raises
+        :class:`~repro.exceptions.RemovedAPIError` naming its
+        ``execution=ExecutionConfig(...)`` replacement.
 
     Examples
     --------

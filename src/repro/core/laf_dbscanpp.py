@@ -64,8 +64,9 @@ class LAFDBSCANPlusPlus(Clusterer):
         executed result in the same sample order, so the output is
         identical to the per-point path (``batch_queries=False``).
     batch_queries:
-        Deprecated: folds into ``execution`` (a ``DeprecationWarning``)
-        and produces identical results.
+        Removed: passing it raises
+        :class:`~repro.exceptions.RemovedAPIError` naming its
+        ``execution=ExecutionConfig(...)`` replacement.
     """
 
     algo_name = "laf-dbscan++"

@@ -15,7 +15,8 @@ cluster structure, matching dimensions) at a configurable scale:
   topics containing micro clusters) on the 768-d sphere.
 
 :func:`load_dataset` exposes them under the paper's dataset names with
-the paper's relative sizes; see DESIGN.md for the substitution rationale.
+the paper's relative sizes; :mod:`repro.data.synthetic` explains why
+each generator stands in for its corpus.
 """
 
 from repro.data.datasets import (

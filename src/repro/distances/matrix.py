@@ -75,7 +75,9 @@ def iter_distance_blocks(
     blocks reproduces :func:`cosine_distance_matrix` (or
     :func:`euclidean_distance_matrix` for ``metric="euclidean"``) exactly,
     but peak memory is ``block_size * len(X)`` floats. This is the
-    distance kernel under every batched index query.
+    float64 distance kernel under the KNN and Euclidean index queries;
+    cosine range queries run on
+    :class:`~repro.distances.cosine_kernel.CosineRangeKernel`.
     """
     if block_size <= 0:
         raise InvalidParameterError(f"block_size must be positive; got {block_size}")

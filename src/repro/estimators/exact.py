@@ -48,4 +48,4 @@ class ExactCardinalityEstimator(CardinalityEstimator):
             from repro.exceptions import NotFittedError
 
             raise NotFittedError("ExactCardinalityEstimator requires bind() first")
-        return self._index.range_count_many(np.atleast_2d(Q), eps).astype(np.float64)
+        return self._index.batch_range_count(np.atleast_2d(Q), eps).astype(np.float64)

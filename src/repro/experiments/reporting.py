@@ -1,8 +1,8 @@
 """ASCII tables and JSON dumps for the benchmark harness.
 
 Every benchmark prints the paper-shaped table to stdout and writes the
-same rows as JSON under ``benchmarks/out/`` so EXPERIMENTS.md can quote
-exact measured values.
+same rows as JSON under ``benchmarks/out/``, so reports can quote exact
+measured values.
 """
 
 from __future__ import annotations

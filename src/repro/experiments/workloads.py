@@ -52,7 +52,7 @@ def prepare_workload(
     """Generate, split and train for one dataset (memoized).
 
     The estimator defaults are the benchmark-friendly reduction of the
-    paper's setup (see DESIGN.md); pass ``epochs=200``,
+    paper's setup; pass ``epochs=200``,
     ``hidden_layers=(512, 512, 256, 128)``, ``n_train_queries=None`` for
     the full paper configuration.
     """

@@ -1,9 +1,12 @@
 """Exact brute-force index over vectors, metric-pluggable.
 
-One matrix-vector product per query. This is the "range query" primitive
-of Algorithm 1 and the reference answer that every approximate index is
-tested against. Also provides batched forms used by DBSCAN++ (core-point
-detection over a sample) and the estimator training-set builder.
+One blockwise matrix product per batch of queries. This is the "range
+query" primitive of Algorithm 1 and the reference answer that every
+approximate index is tested against. Under cosine distance every range
+method (scalar and batched), and the nearest-within selection of model
+serving, run on :class:`~repro.distances.cosine_kernel.CosineRangeKernel`:
+float32 dot products with an exact float64 re-check at the ``eps``
+boundary, so decisions equal the float64 predicate on every pair.
 
 The default metric is cosine distance on unit vectors (the paper's
 setting); Euclidean distance is available through the ``metric``
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.distances.cosine_kernel import CosineRangeKernel
 from repro.distances.matrix import iter_distance_blocks
 from repro.distances.metric import COSINE, Metric, get_metric
 from repro.exceptions import InvalidParameterError
@@ -30,7 +34,7 @@ class BruteForceIndex(NeighborIndex):
     ----------
     block_size:
         Row-block size for the batched query paths; bounds peak memory at
-        ``block_size * n_points`` floats.
+        about ``block_size * n_points`` floats.
     metric:
         "cosine" (default, requires unit rows) or "euclidean".
 
@@ -53,24 +57,26 @@ class BruteForceIndex(NeighborIndex):
         self.block_size = block_size
         self.metric = get_metric(metric)
         self._points: np.ndarray | None = None
+        self._kernel: CosineRangeKernel | None = None
 
     def build(self, X: np.ndarray) -> "BruteForceIndex":
-        self._points = self.metric.validate(X)
+        return self._attach(self.metric.validate(X))
+
+    def _attach(self, points: np.ndarray) -> "BruteForceIndex":
+        self._points = points
+        self._kernel = (
+            CosineRangeKernel(points, self.block_size)
+            if self.metric.name == COSINE.name
+            else None
+        )
         return self
 
     def range_query(self, q: np.ndarray, eps: float) -> np.ndarray:
-        self._require_built()
-        dists = self.metric.distance_to_many(
-            np.asarray(q, dtype=np.float64), self._points
-        )
-        return np.flatnonzero(dists < eps)
+        (row,) = self.batch_range_query(q, eps)
+        return row
 
     def range_count(self, q: np.ndarray, eps: float) -> int:
-        self._require_built()
-        dists = self.metric.distance_to_many(
-            np.asarray(q, dtype=np.float64), self._points
-        )
-        return int(np.count_nonzero(dists < eps))
+        return int(self.batch_range_count(q, eps)[0])
 
     def knn_query(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         self._require_built()
@@ -97,26 +103,65 @@ class BruteForceIndex(NeighborIndex):
             metric=self.metric.name,
         )
 
-    def batch_range_query(self, Q: np.ndarray, eps: float) -> list[np.ndarray]:
-        """Exact neighbor index arrays for every row of ``Q``, blockwise.
+    def _range_hits(self, Q: np.ndarray, eps: float):
+        """``(start, stop, rows, cols)`` of the in-range pairs, per block.
 
-        One matrix product per block replaces ``len(Q)`` matrix-vector
-        products; peak memory stays at ``block_size * n_points`` floats.
+        Cosine goes through the float32 kernel with its float64
+        boundary re-check; other metrics threshold float64 blocks.
+        """
+        if self._kernel is not None:
+            for start, stop, rows, cols, _ in self._kernel.iter_hits(Q, eps):
+                yield start, stop, rows, cols
+            return
+        for start, stop, block in self._iter_blocks(Q):
+            yield (start, stop, *np.nonzero(block < eps))
+
+    def batch_range_csr(
+        self, Q: np.ndarray, eps: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbours of every row of ``Q`` as ``(indptr, indices)`` CSR.
+
+        Row ``i``'s neighbours, ascending, are
+        ``indices[indptr[i] : indptr[i + 1]]``. Thresholding and
+        extraction are one pass per block; this is also the shard
+        workers' wire format.
         """
         self._require_built()
-        results: list[np.ndarray] = []
-        for _, _, block in self._iter_blocks(Q):
-            results.extend(np.flatnonzero(row < eps) for row in block)
-        return results
+        Q = self._as_query_matrix(Q)
+        counts = np.zeros(Q.shape[0], dtype=np.int64)
+        parts = [np.empty(0, dtype=np.int64)]
+        for start, stop, rows, cols in self._range_hits(Q, eps):
+            counts[start:stop] = np.bincount(rows, minlength=stop - start)
+            parts.append(cols)
+        indptr = np.zeros(Q.shape[0] + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return indptr, np.concatenate(parts).astype(np.int64, copy=False)
+
+    def batch_range_query(self, Q: np.ndarray, eps: float) -> list[np.ndarray]:
+        """Exact neighbor index arrays for every row of ``Q``, blockwise."""
+        indptr, indices = self.batch_range_csr(Q, eps)
+        return [indices[indptr[i] : indptr[i + 1]] for i in range(indptr.size - 1)]
 
     def batch_range_count(self, Q: np.ndarray, eps: float) -> np.ndarray:
         """Exact neighbor counts for every row of ``Q`` at threshold ``eps``."""
         self._require_built()
         Q = self._as_query_matrix(Q)
-        counts = np.empty(Q.shape[0], dtype=np.int64)
-        for start, stop, block in self._iter_blocks(Q):
-            counts[start:stop] = np.count_nonzero(block < eps, axis=1)
+        counts = np.zeros(Q.shape[0], dtype=np.int64)
+        for start, stop, rows, _ in self._range_hits(Q, eps):
+            counts[start:stop] = np.bincount(rows, minlength=stop - start)
         return counts
+
+    def batch_nearest_within(self, Q: np.ndarray, eps: float) -> np.ndarray:
+        """Nearest point within ``eps`` per row of ``Q`` (``-1`` if none).
+
+        Cosine picks the winner from the range kernel's own block,
+        re-checking only near-best candidates in float64; other metrics
+        take the generic per-row rule.
+        """
+        if self._kernel is None:
+            return super().batch_nearest_within(Q, eps)
+        self._require_built()
+        return self._kernel.nearest_within(self._as_query_matrix(Q), eps)
 
     def batch_knn_query(
         self, Q: np.ndarray, k: int
@@ -155,17 +200,7 @@ class BruteForceIndex(NeighborIndex):
     def from_arrays(self, arrays: dict) -> "BruteForceIndex":
         # Rows were validated at the original build; reattach without
         # copying so a memory-mapped matrix stays a map.
-        self._points = np.asarray(arrays["points"], dtype=np.float64)
-        return self
-
-    # Backwards-compatible aliases for the pre-engine batched names.
-    def range_count_many(self, Q: np.ndarray, eps: float) -> np.ndarray:
-        """Alias of :meth:`batch_range_count` (pre-engine name)."""
-        return self.batch_range_count(Q, eps)
-
-    def range_query_many(self, Q: np.ndarray, eps: float) -> list[np.ndarray]:
-        """Alias of :meth:`batch_range_query` (pre-engine name)."""
-        return self.batch_range_query(Q, eps)
+        return self._attach(np.asarray(arrays["points"], dtype=np.float64))
 
     def range_count_multi_eps(
         self, Q: np.ndarray, eps_values: np.ndarray

@@ -37,6 +37,7 @@ from repro.distances import (
     iter_distance_blocks,
 )
 from repro.exceptions import InvalidParameterError, NotFittedError
+from repro.index.base import NeighborIndex
 
 __all__ = ["GridIndex"]
 
@@ -256,6 +257,9 @@ class GridIndex:
                     self._exact_query_row(Q[start + offset], center_dists, eps_cos, r)
                 )
         return results
+
+    # The serving rule shared with every NeighborIndex.
+    batch_nearest_within = NeighborIndex.batch_nearest_within
 
     # ------------------------------------------------------------------
     # Persistence (same contract as NeighborIndex.to_arrays/from_arrays;

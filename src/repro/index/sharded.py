@@ -90,6 +90,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
+from repro.distances.metric import COSINE, Metric, get_metric
 from repro.exceptions import InvalidParameterError, NotFittedError, RemovedAPIError
 from repro.index.base import NeighborIndex
 from repro.index.brute_force import BruteForceIndex
@@ -502,8 +503,10 @@ def merge_knn_rows(
 
 
 def _op_range(index, Q: np.ndarray, eps: float):
-    rows = index.batch_range_query(Q, eps)
-    return rows_to_csr(rows)
+    csr = getattr(index, "batch_range_csr", None)
+    if csr is not None:
+        return csr(Q, eps)
+    return rows_to_csr(index.batch_range_query(Q, eps))
 
 
 def _op_count(index, Q: np.ndarray, eps: float):
@@ -1015,6 +1018,11 @@ class ShardedIndex(NeighborIndex):
         if callable(self.inner):
             return self.inner()
         return make_inner_backend(self.inner, self.inner_kwargs)
+
+    @property
+    def metric(self) -> Metric:
+        """The shards' distance: a brute-force inner's metric, else cosine."""
+        return get_metric(self.inner_kwargs.get("metric", COSINE))
 
     def build(self, X: np.ndarray) -> "ShardedIndex":
         X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))

@@ -692,9 +692,10 @@ class ClusterModel:
     def predict(self, X_new: np.ndarray) -> np.ndarray:
         """Labels for new points against the frozen model.
 
-        One batched range query (block size ``execution.query_block``)
-        against the core points per block of queries, then the
-        nearest-core rule described in the class docstring. A 1-d input
+        One :meth:`~repro.index.base.NeighborIndex.batch_nearest_within`
+        call against the core index per block of queries (block size
+        ``execution.query_block``), which applies the nearest-core rule
+        described in the class docstring. A 1-d input
         is treated as a single query; the result is always 1-d with one
         label per query row, ``-1`` for noise.
         """
@@ -712,21 +713,15 @@ class ClusterModel:
             return out
         Q = self.metric.validate(Q)
         index = self._ensure_core_index()
-        cores = self._cores()
         core_labels = self.labels[self._core_global]
         block = int(self.execution.query_block)
         for lo in range(0, n_queries, block):
             hi = min(lo + block, n_queries)
-            rows = index.batch_range_query(Q[lo:hi], self.eps)
-            for offset, row in enumerate(rows):
-                if row.size == 0:
-                    continue
-                d = self.metric.distance_to_many(Q[lo + offset], cores[row])
-                # Nearest core wins; exact ties go to the smallest
-                # training index (rows index the cores in ascending
-                # global order, so min over the tied subset is it).
-                chosen = int(row[d == d.min()].min())
-                out[lo + offset] = core_labels[chosen]
+            # Cores are indexed in ascending global order, so the
+            # smallest core index is also the smallest training index.
+            chosen = index.batch_nearest_within(Q[lo:hi], self.eps)
+            hit = chosen >= 0
+            out[lo:hi][hit] = core_labels[chosen[hit]]
         return out
 
     def close(self) -> None:

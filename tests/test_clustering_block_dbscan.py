@@ -37,7 +37,7 @@ class TestCorrectness:
         eps, tau = 0.5, 5
         block = BlockDBSCAN(eps=eps, tau=tau).fit(clusterable_data)
         index = BruteForceIndex().build(clusterable_data)
-        counts = index.range_count_many(clusterable_data, eps)
+        counts = index.batch_range_count(clusterable_data, eps)
         claimed = np.flatnonzero(block.core_mask)
         assert (counts[claimed] >= tau).all()
 

@@ -49,7 +49,7 @@ class TestExactChecksMode:
             clusterable_data
         )
         index = BruteForceIndex().build(clusterable_data)
-        counts = index.range_count_many(clusterable_data, eps)
+        counts = index.batch_range_count(clusterable_data, eps)
         claimed_core = np.flatnonzero(block.core_mask)
         assert (counts[claimed_core] >= tau).all()
 

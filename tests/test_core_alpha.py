@@ -24,7 +24,7 @@ class TestPredictedCoreRatio:
         eps, tau = 0.5, 5
         index = BruteForceIndex().build(data)
         true_ratio = np.count_nonzero(
-            index.range_count_many(data, eps) >= tau
+            index.batch_range_count(data, eps) >= tau
         ) / data.shape[0]
         ratio = predicted_core_ratio(ExactCardinalityEstimator(), data, eps, tau)
         assert ratio == pytest.approx(true_ratio)

@@ -26,7 +26,7 @@ class TestExactOracle:
         est = ExactCardinalityEstimator().fit(data).bind(data)
         index = BruteForceIndex().build(data)
         counts = est.estimate_many(data[:20], 0.5)
-        expected = index.range_count_many(data[:20], 0.5)
+        expected = index.batch_range_count(data[:20], 0.5)
         assert np.array_equal(counts.astype(int), expected)
 
     def test_fraction_form(self, data):
@@ -45,7 +45,7 @@ class TestExactOracle:
         index = BruteForceIndex().build(data[:30])
         assert np.array_equal(
             est.estimate_many(data[:5], 0.6).astype(int),
-            index.range_count_many(data[:5], 0.6),
+            index.batch_range_count(data[:5], 0.6),
         )
 
 
@@ -55,7 +55,7 @@ class TestSamplingEstimator:
         est.bind(data)
         index = BruteForceIndex().build(data)
         counts = est.estimate_many(data[:10], 0.5)
-        expected = index.range_count_many(data[:10], 0.5)
+        expected = index.batch_range_count(data[:10], 0.5)
         assert np.allclose(counts, expected)
 
     def test_small_sample_unbiased_ballpark(self, data):
@@ -63,7 +63,7 @@ class TestSamplingEstimator:
         est.bind(data)
         index = BruteForceIndex().build(data)
         predicted = est.estimate_many(data, 0.5).mean()
-        actual = index.range_count_many(data, 0.5).mean()
+        actual = index.batch_range_count(data, 0.5).mean()
         assert predicted == pytest.approx(actual, rel=0.35)
 
     def test_unfitted_raises(self, data):
@@ -94,7 +94,7 @@ class TestKDEEstimator:
         est.bind(data)
         index = BruteForceIndex().build(data)
         predicted = est.estimate_many(data, 0.5)
-        actual = index.range_count_many(data, 0.5)
+        actual = index.batch_range_count(data, 0.5)
         corr = np.corrcoef(predicted, actual)[0, 1]
         assert corr > 0.8
 

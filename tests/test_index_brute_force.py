@@ -98,22 +98,22 @@ class TestKnnQuery:
 
 
 class TestBatchedForms:
-    def test_range_count_many_matches_single(self, index, unit_vectors_small):
+    def test_batch_range_count_matches_single(self, index, unit_vectors_small):
         Q = unit_vectors_small[:9]
-        counts = index.range_count_many(Q, eps=0.6)
+        counts = index.batch_range_count(Q, eps=0.6)
         singles = [index.range_count(q, 0.6) for q in Q]
         assert counts.tolist() == singles
 
-    def test_range_query_many_matches_single(self, index, unit_vectors_small):
+    def test_batch_range_query_matches_single(self, index, unit_vectors_small):
         Q = unit_vectors_small[5:12]
-        results = index.range_query_many(Q, eps=0.8)
+        results = index.batch_range_query(Q, eps=0.8)
         for q, hits in zip(Q, results):
             assert np.array_equal(hits, index.range_query(q, 0.8))
 
     def test_blockwise_equals_unblocked(self, unit_vectors_small):
         small_blocks = BruteForceIndex(block_size=3).build(unit_vectors_small)
-        counts_a = small_blocks.range_count_many(unit_vectors_small, 0.5)
-        counts_b = BruteForceIndex().build(unit_vectors_small).range_count_many(
+        counts_a = small_blocks.batch_range_count(unit_vectors_small, 0.5)
+        counts_b = BruteForceIndex().build(unit_vectors_small).batch_range_count(
             unit_vectors_small, 0.5
         )
         assert np.array_equal(counts_a, counts_b)
@@ -124,7 +124,7 @@ class TestBatchedForms:
         grid = index.range_count_multi_eps(Q, radii)
         assert grid.shape == (6, 3)
         for j, eps in enumerate(radii):
-            assert np.array_equal(grid[:, j], index.range_count_many(Q, float(eps)))
+            assert np.array_equal(grid[:, j], index.batch_range_count(Q, float(eps)))
 
     def test_multi_eps_monotone_in_radius(self, index, unit_vectors_small):
         grid = index.range_count_multi_eps(
