@@ -17,7 +17,6 @@ timed.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -27,7 +26,7 @@ from repro.distances import iter_distance_blocks
 from repro.index import BruteForceIndex
 from repro.testing import make_blobs_on_sphere, write_benchmark_rows
 
-N = int(os.environ.get("REPRO_KERNEL_BENCH_N", "4096"))
+N = 4096
 DIM = 768
 EPS = 0.55
 REPEATS = 3

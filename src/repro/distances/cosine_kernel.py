@@ -75,9 +75,11 @@ class CosineRangeKernel:
         The float64 point matrix; kept by reference (a memory map stays
         a map) and used for the float64 re-checks.
     block_size:
-        Query rows per float32 GEMM; peak memory is about
-        ``5 * block_size * n_points`` bytes (the float32 dots plus one
-        boolean mask).
+        Query rows per float32 GEMM. Peak memory is about
+        ``6 * block_size * n_points`` bytes (float32 dots and two
+        boolean masks, allocated once per call and reused for every
+        block; ``nearest_within`` adds up to two more mask bytes), plus
+        the returned neighbours and 16 bytes per pair inside the band.
     """
 
     def __init__(self, points: np.ndarray, block_size: int = DEFAULT_BLOCK_SIZE):
@@ -99,39 +101,73 @@ class CosineRangeKernel:
         q_norms = np.sqrt(np.einsum("ij,ij->i", Q, Q))
         return self._coef * q_norms * self._max_norm + _ABS_SLACK
 
-    def iter_hits(
+    def iter_blocks(
         self, Q: np.ndarray, eps: float
-    ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
-        """Yield ``(start, stop, rows, cols, dots32)`` per query block.
+    ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+        """Yield ``(start, stop, dots32, hit)`` per query block.
 
-        ``rows`` (block-local) and ``cols`` list every pair of the block
-        with ``max(0, 1 - q·x) < eps`` in row-major order, so each row's
-        columns ascend; ``dots32`` holds their float32 dots. Yields
-        nothing when no pair can qualify (``eps <= 0`` or no points).
+        ``dots32`` is the block's float32 dot matrix and ``hit`` the
+        boolean decision mask: ``hit[i, j]`` is ``max(0, 1 - q·x) < eps``
+        for query ``start + i`` and point ``j``. Both are views of
+        buffers reused for every block, so one block's worth of memory
+        is live however the caller loops: a caller must be done with
+        them before it advances. Yields nothing when no pair can qualify
+        (``eps <= 0`` or no points).
         """
         if not eps > 0 or self.points.shape[0] == 0:
             return
         t = 1.0 - eps
+        shape = (min(self.block_size, Q.shape[0]), self.points.shape[0])
+        dots_buf = np.empty(shape, dtype=np.float32)
+        hit_buf = np.empty(shape, dtype=bool)
+        band_buf = np.empty(shape, dtype=bool)
         for start in range(0, Q.shape[0], self.block_size):
             stop = min(start + self.block_size, Q.shape[0])
             Qb = Q[start:stop]
-            dots = Qb.astype(np.float32) @ self.points32.T
+            dots = dots_buf[: stop - start]
+            np.matmul(Qb.astype(np.float32), self.points32.T, out=dots)
             band = self.band(Qb)
             # Round each edge to float32, then one ulp further out.
             lo = np.nextafter((t - band).astype(np.float32), np.float32(-np.inf))
             hi = np.nextafter((t + band).astype(np.float32), np.float32(np.inf))
-            # One flat nonzero + divmod is about twice as fast as a 2-d
-            # nonzero; row-major order keeps each row's columns ascending.
-            flat = np.flatnonzero(dots >= lo[:, None])
-            rows, cols = np.divmod(flat, dots.shape[1])
-            vals = dots.ravel()[flat]
-            unsure = np.flatnonzero(vals <= hi[rows])
-            if unsure.size:
-                exact = exact_dots(Qb, self.points, rows[unsure], cols[unsure])
-                keep = np.ones(rows.shape[0], dtype=bool)
-                keep[unsure] = np.maximum(0.0, 1.0 - exact) < eps
-                rows, cols, vals = rows[keep], cols[keep], vals[keep]
-            yield start, stop, rows, cols, vals
+            hit = np.greater(dots, hi[:, None], out=hit_buf[: stop - start])
+            unsure = np.greater_equal(dots, lo[:, None], out=band_buf[: stop - start])
+            unsure ^= hit  # lo <= dot32 <= hi: the band
+            # A flat nonzero + divmod is several times faster than a 2-d
+            # nonzero on a mask this sparse.
+            rows, cols = np.divmod(np.flatnonzero(unsure), dots.shape[1])
+            if rows.size:
+                exact = exact_dots(Qb, self.points, rows, cols)
+                ok = np.maximum(0.0, 1.0 - exact) < eps
+                hit[rows[ok], cols[ok]] = True
+            yield start, stop, dots, hit
+
+    def range_counts(self, Q: np.ndarray, eps: float) -> np.ndarray:
+        """Number of points within ``eps`` of every row of ``Q``."""
+        counts = np.zeros(Q.shape[0], dtype=np.int64)
+        for start, stop, _, hit in self.iter_blocks(Q, eps):
+            counts[start:stop] = np.count_nonzero(hit, axis=1)
+        return counts
+
+    def range_csr(self, Q: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbours of every row of ``Q`` as ``(indptr, indices)`` CSR.
+
+        Each row's indices ascend. The flat positions of a block's hits
+        are turned into column indices in place, so extraction allocates
+        nothing per neighbour beyond the output.
+        """
+        counts = np.zeros(Q.shape[0], dtype=np.int64)
+        parts = [np.empty(0, dtype=np.int64)]
+        for start, stop, _, hit in self.iter_blocks(Q, eps):
+            n = hit.shape[1]
+            flat = np.flatnonzero(hit)
+            # Positions ascend, so row boundaries are a binary search.
+            edges = np.searchsorted(flat, np.arange(stop - start + 1) * n)
+            counts[start:stop] = np.diff(edges)
+            parts.append(np.remainder(flat, n, out=flat))
+        indptr = np.zeros(Q.shape[0] + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return indptr, np.concatenate(parts)
 
     def nearest_within(self, Q: np.ndarray, eps: float) -> np.ndarray:
         """Index of the nearest point within ``eps`` per query row, or -1.
@@ -143,18 +179,23 @@ class CosineRangeKernel:
         re-checked in float64.
         """
         chosen = np.full(Q.shape[0], -1, dtype=np.int64)
-        for start, stop, rows, cols, vals in self.iter_hits(Q, eps):
-            if rows.size == 0:
-                continue
+        for start, stop, dots, hit in self.iter_blocks(Q, eps):
             Qb = Q[start:stop]
-            # Rows ascend, so each row's candidates form one run.
-            firsts = np.flatnonzero(np.diff(rows, prepend=-1))
-            best = np.maximum.reduceat(vals, firsts).astype(np.float64)
-            floor = np.minimum(best, 1.0) - 2.0 * self.band(Qb[rows[firsts]])
-            runs = np.diff(firsts, append=rows.size)
-            sel = np.flatnonzero(vals >= np.repeat(floor, runs))
-            rows, cols = rows[sel], cols[sel]
+            span = np.arange(stop - start)
+            top = dots.argmax(axis=1)
+            # A row whose largest dot is a hit has that dot as its best
+            # hit. In any other row every hit is a re-checked band pair,
+            # so keeping all of them (floor -inf) costs little.
+            best = dots[span, top].astype(np.float64)
+            floor = np.where(
+                hit[span, top], np.minimum(best, 1.0) - 2.0 * self.band(Qb), -np.inf
+            )
+            floor32 = np.nextafter(floor.astype(np.float32), np.float32(-np.inf))
+            candidates = dots >= floor32[:, None]
+            candidates &= hit
+            rows, cols = np.divmod(np.flatnonzero(candidates), dots.shape[1])
             dist = np.maximum(0.0, 1.0 - exact_dots(Qb, self.points, rows, cols))
+            # Per row: smallest distance, exact ties to the smallest index.
             order = np.lexsort((cols, dist, rows))
             winners = order[np.flatnonzero(np.diff(rows[order], prepend=-1))]
             chosen[start + rows[winners]] = cols[winners]

@@ -14,8 +14,9 @@ import abc
 
 import numpy as np
 
+from repro.distances.cosine_kernel import exact_dots
 from repro.distances.matrix import iter_distance_blocks
-from repro.distances.metric import COSINE
+from repro.distances.metric import COSINE, Metric
 from repro.exceptions import NotFittedError
 
 __all__ = [
@@ -242,24 +243,32 @@ class NeighborIndex(abc.ABC):
             (self.range_count(q, eps) for q in Q), dtype=np.int64, count=Q.shape[0]
         )
 
-    def batch_nearest_within(self, Q: np.ndarray, eps: float) -> np.ndarray:
+    def batch_nearest_within(
+        self, Q: np.ndarray, eps: float, metric: Metric
+    ) -> np.ndarray:
         """Nearest indexed point within ``eps`` for every row of ``Q``.
 
         Returns one index per row, ``-1`` where no point lies strictly
         within ``eps``; exact distance ties go to the smallest index.
         This is the nearest-core rule of
-        :meth:`~repro.persistence.ClusterModel.predict`. The default
-        re-measures each row's range-query hits with the index's metric
-        (cosine unless it has a ``metric``).
+        :meth:`~repro.persistence.ClusterModel.predict`, which passes its
+        own ``metric``: the range query finds the candidates, ``metric``
+        measures them. Cosine distances use
+        :func:`~repro.distances.cosine_kernel.exact_dots`, the reduction
+        of the cosine range kernel, so every backend picks the same
+        point.
         """
         # Class-qualified: GridIndex shares this method without subclassing.
         Q = NeighborIndex._as_query_matrix(Q)
-        metric = getattr(self, "metric", COSINE)
         chosen = np.full(Q.shape[0], -1, dtype=np.int64)
         for i, row in enumerate(self.batch_range_query(Q, eps)):
             if row.size == 0:
                 continue
-            d = metric.distance_to_many(Q[i], self.points[row])
+            if metric.name == COSINE.name:
+                dots = exact_dots(Q, self.points, np.full(row.size, i), row)
+                d = np.maximum(0.0, 1.0 - dots)
+            else:
+                d = metric.distance_to_many(Q[i], self.points[row])
             # Nearest wins; exact ties go to the smallest index (rows
             # ascend, so min over the tied subset is it).
             chosen[i] = int(row[d == d.min()].min())

@@ -103,19 +103,6 @@ class BruteForceIndex(NeighborIndex):
             metric=self.metric.name,
         )
 
-    def _range_hits(self, Q: np.ndarray, eps: float):
-        """``(start, stop, rows, cols)`` of the in-range pairs, per block.
-
-        Cosine goes through the float32 kernel with its float64
-        boundary re-check; other metrics threshold float64 blocks.
-        """
-        if self._kernel is not None:
-            for start, stop, rows, cols, _ in self._kernel.iter_hits(Q, eps):
-                yield start, stop, rows, cols
-            return
-        for start, stop, block in self._iter_blocks(Q):
-            yield (start, stop, *np.nonzero(block < eps))
-
     def batch_range_csr(
         self, Q: np.ndarray, eps: float
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -124,18 +111,23 @@ class BruteForceIndex(NeighborIndex):
         Row ``i``'s neighbours, ascending, are
         ``indices[indptr[i] : indptr[i + 1]]``. Thresholding and
         extraction are one pass per block; this is also the shard
-        workers' wire format.
+        workers' wire format. Cosine goes through the float32 kernel
+        with its float64 boundary re-check; other metrics threshold
+        float64 blocks.
         """
         self._require_built()
         Q = self._as_query_matrix(Q)
+        if self._kernel is not None:
+            return self._kernel.range_csr(Q, eps)
         counts = np.zeros(Q.shape[0], dtype=np.int64)
         parts = [np.empty(0, dtype=np.int64)]
-        for start, stop, rows, cols in self._range_hits(Q, eps):
-            counts[start:stop] = np.bincount(rows, minlength=stop - start)
-            parts.append(cols)
+        for start, stop, block in self._iter_blocks(Q):
+            hit = block < eps
+            counts[start:stop] = np.count_nonzero(hit, axis=1)
+            parts.append(np.nonzero(hit)[1])
         indptr = np.zeros(Q.shape[0] + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        return indptr, np.concatenate(parts).astype(np.int64, copy=False)
+        return indptr, np.concatenate(parts)
 
     def batch_range_query(self, Q: np.ndarray, eps: float) -> list[np.ndarray]:
         """Exact neighbor index arrays for every row of ``Q``, blockwise."""
@@ -146,20 +138,24 @@ class BruteForceIndex(NeighborIndex):
         """Exact neighbor counts for every row of ``Q`` at threshold ``eps``."""
         self._require_built()
         Q = self._as_query_matrix(Q)
+        if self._kernel is not None:
+            return self._kernel.range_counts(Q, eps)
         counts = np.zeros(Q.shape[0], dtype=np.int64)
-        for start, stop, rows, _ in self._range_hits(Q, eps):
-            counts[start:stop] = np.bincount(rows, minlength=stop - start)
+        for start, stop, block in self._iter_blocks(Q):
+            counts[start:stop] = np.count_nonzero(block < eps, axis=1)
         return counts
 
-    def batch_nearest_within(self, Q: np.ndarray, eps: float) -> np.ndarray:
+    def batch_nearest_within(
+        self, Q: np.ndarray, eps: float, metric: Metric
+    ) -> np.ndarray:
         """Nearest point within ``eps`` per row of ``Q`` (``-1`` if none).
 
-        Cosine picks the winner from the range kernel's own block,
-        re-checking only near-best candidates in float64; other metrics
-        take the generic per-row rule.
+        A cosine index asked for cosine distance picks the winner from
+        the range kernel's own block, re-checking only near-best
+        candidates in float64; anything else takes the generic rule.
         """
-        if self._kernel is None:
-            return super().batch_nearest_within(Q, eps)
+        if self._kernel is None or metric.name != COSINE.name:
+            return super().batch_nearest_within(Q, eps, metric)
         self._require_built()
         return self._kernel.nearest_within(self._as_query_matrix(Q), eps)
 

@@ -90,7 +90,6 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.distances.metric import COSINE, Metric, get_metric
 from repro.exceptions import InvalidParameterError, NotFittedError, RemovedAPIError
 from repro.index.base import NeighborIndex
 from repro.index.brute_force import BruteForceIndex
@@ -1018,11 +1017,6 @@ class ShardedIndex(NeighborIndex):
         if callable(self.inner):
             return self.inner()
         return make_inner_backend(self.inner, self.inner_kwargs)
-
-    @property
-    def metric(self) -> Metric:
-        """The shards' distance: a brute-force inner's metric, else cosine."""
-        return get_metric(self.inner_kwargs.get("metric", COSINE))
 
     def build(self, X: np.ndarray) -> "ShardedIndex":
         X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))

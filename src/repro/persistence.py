@@ -719,7 +719,7 @@ class ClusterModel:
             hi = min(lo + block, n_queries)
             # Cores are indexed in ascending global order, so the
             # smallest core index is also the smallest training index.
-            chosen = index.batch_nearest_within(Q[lo:hi], self.eps)
+            chosen = index.batch_nearest_within(Q[lo:hi], self.eps, self.metric)
             hit = chosen >= 0
             out[lo:hi][hit] = core_labels[chosen[hit]]
         return out

@@ -98,14 +98,18 @@ def _close_indexes(indexes: list[object]) -> None:
 
 
 def _index_nbytes(index: object) -> int:
-    """Cheap size estimate of a cached shard index: its data matrix.
+    """Cheap size estimate of a cached shard index: its point copies.
 
-    Structural arrays (tree nodes, CSR offsets) are a small fraction of
-    the contiguous point copies, so the bytes cap is enforced against
-    the dominant term only.
+    The float64 data matrix plus, for a cosine brute-force shard, the
+    float32 copy its range kernel keeps. Structural arrays (tree nodes,
+    CSR offsets) are a small fraction of the contiguous point copies,
+    so the bytes cap is enforced against the dominant terms only.
     """
-    points = getattr(index, "_points", None)
-    return int(points.nbytes) if isinstance(points, np.ndarray) else 0
+    copies = (
+        getattr(index, "_points", None),
+        getattr(getattr(index, "_kernel", None), "points32", None),
+    )
+    return sum(int(a.nbytes) for a in copies if isinstance(a, np.ndarray))
 
 
 class ShardHolder:

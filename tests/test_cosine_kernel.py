@@ -9,6 +9,8 @@ float64, and the tests put pairs at, and one ulp either side of, ``eps``.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.distances import normalize_rows
 from repro.distances.cosine_kernel import CosineRangeKernel
+from repro.distances.metric import COSINE, EUCLIDEAN
 from repro.index import BruteForceIndex
 from repro.index.base import NeighborIndex
 from repro.index.sharded import ShardedIndex
@@ -53,7 +56,7 @@ def assert_matches_reference(index: BruteForceIndex, Q: np.ndarray, eps: float):
         assert np.array_equal(index.range_query(q, eps), e)
         assert index.range_count(q, eps) == e.size
     assert np.array_equal(
-        index.batch_nearest_within(Q, eps), reference_nearest(Q, X, eps)
+        index.batch_nearest_within(Q, eps, COSINE), reference_nearest(Q, X, eps)
     )
 
 
@@ -88,7 +91,8 @@ class TestBoundary:
             assert_matches_reference(index, X, eps)
         assert index.range_query(base[2], 1e-12).tolist() == [2, 5, 6]
         # Every duplicate is at distance 0: the tie goes to the smallest index.
-        assert index.batch_nearest_within(X[[5, 6, 7]], 0.3).tolist() == [2, 2, 4]
+        nearest = index.batch_nearest_within(X[[5, 6, 7]], 0.3, COSINE)
+        assert nearest.tolist() == [2, 2, 4]
 
     def test_naive_float32_compare_is_wrong_and_recheck_fixes_it(self):
         """A constructed pair the plain float32 threshold misjudges."""
@@ -130,7 +134,7 @@ class TestBoundary:
         index = BruteForceIndex().build(X)
         for eps in (0.0, -0.5):
             assert all(row.size == 0 for row in index.batch_range_query(X, eps))
-            assert index.batch_nearest_within(X, eps).tolist() == [-1] * 6
+            assert index.batch_nearest_within(X, eps, COSINE).tolist() == [-1] * 6
 
 
 class TestDegenerateShapes:
@@ -138,7 +142,7 @@ class TestDegenerateShapes:
         X = unit_rows(1, 16, seed=6)
         index = BruteForceIndex().build(X)
         assert index.range_query(X[0], 0.1).tolist() == [0]
-        assert index.batch_nearest_within(X, 0.1).tolist() == [0]
+        assert index.batch_nearest_within(X, 0.1, COSINE).tolist() == [0]
         assert_matches_reference(index, unit_rows(4, 16, seed=7), 1.0)
 
     def test_empty_query_batch(self):
@@ -146,7 +150,7 @@ class TestDegenerateShapes:
         Q = np.empty((0, 16))
         assert index.batch_range_query(Q, 0.5) == []
         assert index.batch_range_count(Q, 0.5).shape == (0,)
-        assert index.batch_nearest_within(Q, 0.5).shape == (0,)
+        assert index.batch_nearest_within(Q, 0.5, COSINE).shape == (0,)
         indptr, indices = index.batch_range_csr(Q, 0.5)
         assert indptr.tolist() == [0] and indices.size == 0
 
@@ -160,8 +164,8 @@ class TestDegenerateShapes:
                 ):
                     assert np.array_equal(g, e)
                 assert np.array_equal(
-                    sharded.batch_nearest_within(X, eps),
-                    single.batch_nearest_within(X, eps),
+                    sharded.batch_nearest_within(X, eps, COSINE),
+                    single.batch_nearest_within(X, eps, COSINE),
                 )
 
 
@@ -199,10 +203,50 @@ class TestKernel:
         X = unit_rows(300, 32, seed=13)
         Q = unit_rows(50, 32, seed=14)
         index = BruteForceIndex().build(X)
-        fast = index.batch_nearest_within(Q, 0.6)
-        generic = NeighborIndex.batch_nearest_within(index, Q, 0.6)
+        fast = index.batch_nearest_within(Q, 0.6, COSINE)
+        generic = NeighborIndex.batch_nearest_within(index, Q, 0.6, COSINE)
         assert np.array_equal(fast, generic)
         assert (fast >= 0).any() and (fast == -1).any()
+
+
+class TestNearestWithin:
+    def test_sharded_and_unsharded_agree_on_near_tied_points(self):
+        # Near-copies of one point, perturbed at the ulp scale, so the
+        # query's distances to them tie or differ in the last bits and
+        # any second reduction order could pick another winner.
+        rng = np.random.default_rng(15)
+        base = unit_rows(1, 64, seed=16)[0]
+        copies = base + rng.normal(size=(40, 64)) * 1e-16
+        X = normalize_rows(np.vstack([unit_rows(60, 64, seed=17), copies]))
+        Q = normalize_rows(base + rng.normal(size=(25, 64)) * 1e-3)
+        single = BruteForceIndex(block_size=8).build(X)
+        expected = reference_nearest(Q, X, 0.4)
+        assert (expected >= 60).all()
+        assert np.array_equal(single.batch_nearest_within(Q, 0.4, COSINE), expected)
+        with ShardedIndex(n_shards=3).build(X) as sharded:
+            assert np.array_equal(
+                sharded.batch_nearest_within(Q, 0.4, COSINE), expected
+            )
+
+    def test_generic_rule_measures_with_the_given_metric(self):
+        # An index with no ``metric`` of its own, serving euclidean
+        # queries over rows of different norms: the candidates' order
+        # differs between euclidean and cosine distance.
+        rng = np.random.default_rng(18)
+        X = rng.normal(size=(60, 8)) * rng.uniform(0.5, 2.0, size=(60, 1))
+        Q = rng.normal(size=(30, 8))
+        inner = BruteForceIndex(metric="euclidean").build(X)
+        host = SimpleNamespace(points=X, batch_range_query=inner.batch_range_query)
+        got = NeighborIndex.batch_nearest_within(host, Q, 2.5, EUCLIDEAN)
+        expected = np.full(len(Q), -1)
+        for i, q in enumerate(Q):
+            d = np.linalg.norm(X - q, axis=1)
+            hits = np.flatnonzero(d < 2.5)
+            if hits.size:
+                expected[i] = hits[np.argmin(d[hits])]
+        assert np.array_equal(got, expected)
+        as_cosine = NeighborIndex.batch_nearest_within(host, Q, 2.5, COSINE)
+        assert not np.array_equal(got, as_cosine)
 
 
 @st.composite

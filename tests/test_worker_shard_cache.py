@@ -111,7 +111,9 @@ class TestShardHolderLRU:
         assert rebuilt  # fully released => evictable
 
     def test_bytes_cap(self, data):
-        one_shard_bytes = data[:10].astype(np.float64).nbytes
+        # A cosine brute-force shard holds its float64 rows plus the
+        # float32 copy of its range kernel.
+        one_shard_bytes = data[:10].astype(np.float64).nbytes * 3 // 2
         holder = holder_with_data(
             data, max_cached_bytes=int(one_shard_bytes * 1.5)
         )
@@ -122,6 +124,18 @@ class TestShardHolderLRU:
         assert stats["evictions"] == 1
         assert stats["indexes"] == 1
         assert stats["cached_bytes"] == one_shard_bytes
+
+    def test_cosine_shard_charged_for_its_float32_copy(self, data):
+        cosine = holder_with_data(data)
+        cosine.attach(shard_spec(0, 0, 10))
+        euclidean = holder_with_data(data)
+        spec = shard_spec(0, 0, 10)
+        spec["inner_kwargs"] = {"metric": "euclidean"}
+        euclidean.attach(spec)
+        float64_bytes = data[:10].astype(np.float64).nbytes
+        float32_bytes = data[:10].astype(np.float32).nbytes
+        assert euclidean.stats()["cached_bytes"] == float64_bytes
+        assert cosine.stats()["cached_bytes"] == float64_bytes + float32_bytes
 
     def test_caps_validated(self):
         with pytest.raises(InvalidParameterError, match="max_cached_shards"):
