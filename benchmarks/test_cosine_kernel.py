@@ -11,8 +11,13 @@ all-points batch at n=4096 and d=768 — the paper's MS embedding width —
 recorded to ``benchmarks/out/cosine_kernel_n{N}.json`` for the CI
 regression gate.
 
-Both paths must return identical neighbour rows before anything is
-timed.
+The same file's ``core_graph_speedup`` row times the DBSCAN++ core
+graph: ``connected_components_within`` (one kernel CSR self-join and
+``scipy.sparse.csgraph``) against the float64 BFS it replaced, which
+runs one matrix-vector product per visited point, on the same points.
+
+Both paths of each row must return identical results before anything
+is timed.
 """
 
 from __future__ import annotations
@@ -20,8 +25,10 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 from conftest import out_path
 
+from repro.clustering.components import connected_components_within
 from repro.distances import iter_distance_blocks
 from repro.index import BruteForceIndex
 from repro.testing import make_blobs_on_sphere, write_benchmark_rows
@@ -40,6 +47,36 @@ def float64_range_query(X: np.ndarray, Q: np.ndarray, eps: float) -> list[np.nda
     return rows
 
 
+def float64_bfs_components(X: np.ndarray, eps: float) -> np.ndarray:
+    """The float64 core-graph reference: BFS, one matvec per visited point."""
+    labels = np.full(X.shape[0], -1, dtype=np.int64)
+    component = -1
+    for start in range(X.shape[0]):
+        if labels[start] != -1:
+            continue
+        component += 1
+        labels[start] = component
+        frontier = [start]
+        while frontier:
+            dists = 1.0 - X @ X[frontier.pop()]
+            neighbors = np.flatnonzero((dists < eps) & (labels == -1))
+            labels[neighbors] = component
+            frontier.extend(neighbors.tolist())
+    return labels
+
+
+@pytest.fixture(scope="module")
+def bench_rows():
+    """Rows measured in this file, written together once it finishes."""
+    measured: list[dict] = []
+    yield measured
+    write_benchmark_rows(out_path(f"cosine_kernel_n{N}.json"), measured)
+
+
+def _points() -> np.ndarray:
+    return make_blobs_on_sphere(N // 16, 16, DIM, spread=1.0, seed=0)[0]
+
+
 def _best_of(fn, repeats: int = REPEATS) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -49,8 +86,8 @@ def _best_of(fn, repeats: int = REPEATS) -> float:
     return best
 
 
-def test_float32_kernel_speedup():
-    X, _ = make_blobs_on_sphere(N // 16, 16, DIM, spread=1.0, seed=0)
+def test_float32_kernel_speedup(bench_rows):
+    X = _points()
     index = BruteForceIndex().build(X)
 
     got = index.batch_range_query(X, EPS)
@@ -77,4 +114,31 @@ def test_float32_kernel_speedup():
         f"n={N} d={DIM}: float64 {t_float64:.3f}s, kernel {t_kernel:.3f}s "
         f"-> {row['float32_kernel_speedup']:.2f}x ({neighbors} neighbours)"
     )
-    write_benchmark_rows(out_path(f"cosine_kernel_n{N}.json"), [row])
+    bench_rows.append(row)
+
+
+def test_core_graph_speedup(bench_rows):
+    X = _points()
+    labels = connected_components_within(X, EPS)
+    assert np.array_equal(labels, float64_bfs_components(X, EPS))
+
+    # The BFS takes seconds, so one timed run is as stable as a best of three.
+    t_float64 = _best_of(lambda: float64_bfs_components(X, EPS), repeats=1)
+    t_kernel = _best_of(lambda: connected_components_within(X, EPS))
+    row = {
+        "method": "core_graph",
+        "n": N,
+        "dim": DIM,
+        "eps": EPS,
+        "components": int(labels.max()) + 1,
+        "float64_s": t_float64,
+        "kernel_s": t_kernel,
+        "core_graph_speedup": t_float64 / t_kernel,
+    }
+    print()
+    print(
+        f"core graph n={N} d={DIM}: float64 BFS {t_float64:.3f}s, "
+        f"kernel {t_kernel:.3f}s -> {row['core_graph_speedup']:.2f}x "
+        f"({row['components']} components)"
+    )
+    bench_rows.append(row)

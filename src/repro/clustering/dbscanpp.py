@@ -22,7 +22,8 @@ from repro.clustering.base import (
     canonicalize_labels,
 )
 from repro.clustering.components import connected_components_within
-from repro.distances import check_unit_norm, iter_distance_blocks
+from repro.distances import check_unit_norm
+from repro.distances.cosine_kernel import CosineRangeKernel
 from repro.engine_config import ExecutionConfig
 from repro.exceptions import InvalidParameterError
 from repro.rng import ensure_rng
@@ -153,14 +154,9 @@ class DBSCANPlusPlus(Clusterer):
         core_labels = connected_components_within(core_X, self.eps)
 
         # Every point joins its closest core point's cluster.
-        labels = np.full(n, NOISE, dtype=np.int64)
-        for start, stop, block in iter_distance_blocks(X, core_X):
-            nearest = np.argmin(block, axis=1)
-            nearest_dist = block[np.arange(block.shape[0]), nearest]
-            assigned = core_labels[nearest]
-            if self.assign_within_eps:
-                assigned = np.where(nearest_dist < self.eps, assigned, NOISE)
-            labels[start:stop] = assigned
+        radius = self.eps if self.assign_within_eps else np.inf
+        nearest = CosineRangeKernel(core_X).nearest_within(X, radius)
+        labels = np.where(nearest >= 0, core_labels[nearest], NOISE)
         # Core points always belong to their own cluster.
         labels[core_sample] = core_labels
 

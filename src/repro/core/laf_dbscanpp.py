@@ -28,7 +28,10 @@ from repro.clustering.base import (
 )
 from repro.clustering.components import connected_components_within
 from repro.core.laf import LAF
-from repro.distances import check_unit_norm, iter_distance_blocks
+from repro.distances import check_unit_norm
+# Re-exported for perfbench/tracing.py, which times the module's copy.
+from repro.distances import iter_distance_blocks  # noqa: F401
+from repro.distances.cosine_kernel import CosineRangeKernel
 from repro.engine_config import ExecutionConfig
 from repro.estimators.base import CardinalityEstimator
 from repro.exceptions import InvalidParameterError
@@ -164,14 +167,9 @@ class LAFDBSCANPlusPlus(Clusterer):
         core_X = X[core_sample]
         core_labels = connected_components_within(core_X, self.eps)
 
-        labels = np.full(n, NOISE, dtype=np.int64)
-        for start, stop, block in iter_distance_blocks(X, core_X):
-            nearest = np.argmin(block, axis=1)
-            nearest_dist = block[np.arange(block.shape[0]), nearest]
-            assigned = core_labels[nearest]
-            if self.assign_within_eps:
-                assigned = np.where(nearest_dist < self.eps, assigned, NOISE)
-            labels[start:stop] = assigned
+        radius = self.eps if self.assign_within_eps else np.inf
+        nearest = CosineRangeKernel(core_X).nearest_within(X, radius)
+        labels = np.where(nearest >= 0, core_labels[nearest], NOISE)
         labels[core_sample] = core_labels
         core_mask[core_sample] = True
 

@@ -173,10 +173,11 @@ class CosineRangeKernel:
         """Index of the nearest point within ``eps`` per query row, or -1.
 
         Nearest by float64 cosine distance ``max(0, 1 - exact_dots)``;
-        exact ties go to the smallest index. Only in-range candidates
-        whose float32 dot is within ``2B`` of the row's best one (capped
-        at 1, where the distance clamps to 0) can win, so only those are
-        re-checked in float64.
+        exact ties go to the smallest index. ``eps=np.inf`` means nearest
+        with no radius. Only in-range candidates whose float32 dot is
+        within ``2B`` of the row's best one (capped at 1, where the
+        distance clamps to 0) can win, so only those are re-checked in
+        float64.
         """
         chosen = np.full(Q.shape[0], -1, dtype=np.int64)
         for start, stop, dots, hit in self.iter_blocks(Q, eps):

@@ -210,8 +210,8 @@ class BruteForceIndex(NeighborIndex):
         eps_values = np.asarray(eps_values, dtype=np.float64)
         Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
         counts = np.empty((Q.shape[0], eps_values.size), dtype=np.int64)
+        # One radius at a time, so no (block, n, R) boolean temporary.
         for start, stop, block in self._iter_blocks(Q):
-            counts[start:stop] = np.count_nonzero(
-                block[:, :, None] < eps_values[None, None, :], axis=1
-            )
+            for j, eps in enumerate(eps_values.tolist()):
+                counts[start:stop, j] = np.count_nonzero(block < eps, axis=1)
         return counts

@@ -210,6 +210,15 @@ class TestKernel:
 
 
 class TestNearestWithin:
+    @pytest.mark.parametrize("dim", [8, 768])
+    def test_infinite_eps_is_the_float64_argmin(self, dim):
+        # DBSCAN++'s absorb-everything assignment: nearest with no radius.
+        cores = unit_rows(200, dim, seed=dim)
+        X = unit_rows(500, dim, seed=dim + 1)
+        got = CosineRangeKernel(cores).nearest_within(X, np.inf)
+        assert np.array_equal(got, np.argmin(1.0 - X @ cores.T, axis=1))
+        assert np.array_equal(got, reference_nearest(X, cores, np.inf))
+
     def test_sharded_and_unsharded_agree_on_near_tied_points(self):
         # Near-copies of one point, perturbed at the ulp scale, so the
         # query's distances to them tie or differ in the last bits and

@@ -1,10 +1,8 @@
-"""Tests for RMI save/load and the components helper."""
+"""Tests for RMI save/load."""
 
 import numpy as np
 import pytest
 
-from repro.clustering.components import connected_components_within
-from repro.distances import normalize_rows
 from repro.estimators import RMICardinalityEstimator
 from repro.exceptions import NotFittedError
 
@@ -55,47 +53,3 @@ class TestRMIPersistence:
         with pytest.raises(NotFittedError):
             RMICardinalityEstimator().save(str(tmp_path / "x.npz"))
 
-
-class TestConnectedComponentsWithin:
-    def test_two_far_groups(self):
-        rng = np.random.default_rng(0)
-        a = normalize_rows(np.array([1.0, 0.0, 0.0]) + 0.01 * rng.normal(size=(5, 3)))
-        b = normalize_rows(np.array([-1.0, 0.0, 0.0]) + 0.01 * rng.normal(size=(5, 3)))
-        labels = connected_components_within(np.vstack([a, b]), eps=0.5)
-        assert len(set(labels[:5].tolist())) == 1
-        assert len(set(labels[5:].tolist())) == 1
-        assert labels[0] != labels[5]
-
-    def test_chain_connectivity(self):
-        # Points on a great-circle arc, each within eps of its neighbor
-        # but not of the far end: one chained component.
-        angles = np.linspace(0.0, 1.2, 7)
-        X = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        step_gap = 1.0 - np.cos(angles[1] - angles[0])
-        end_gap = 1.0 - np.cos(angles[-1] - angles[0])
-        eps = step_gap * 1.5
-        assert eps < end_gap
-        labels = connected_components_within(X, eps=eps)
-        assert len(set(labels.tolist())) == 1
-
-    def test_all_singletons(self):
-        X = np.eye(4)
-        labels = connected_components_within(X, eps=0.5)
-        assert len(set(labels.tolist())) == 4
-
-    def test_matches_naive_union_find(self):
-        from repro.clustering import UnionFind
-
-        rng = np.random.default_rng(3)
-        X = normalize_rows(rng.normal(size=(40, 6)))
-        eps = 0.6
-        fast = connected_components_within(X, eps)
-        uf = UnionFind(40)
-        dists = 1.0 - X @ X.T
-        for i in range(40):
-            for j in range(i + 1, 40):
-                if dists[i, j] < eps:
-                    uf.union(i, j)
-        for i in range(40):
-            for j in range(40):
-                assert (fast[i] == fast[j]) == uf.connected(i, j)
