@@ -8,7 +8,8 @@ repairs this with only the bookkeeping gathered during clustering:
 for every recorded stop point ``P`` with ``|E(P)| >= tau`` (proof that
 ``P`` is truly core), pick a random non-noise partial neighbor ``P'``,
 take its cluster as the destination, and merge the clusters of all
-points in ``E(P)`` into it.
+points in ``E(P)`` — and ``P``'s own cluster, if it already has one —
+into it.
 
 Merges use union-find so chains of repairs compose; the false-negative
 point itself joins the destination cluster (it is a core member of the
@@ -78,7 +79,13 @@ def post_process(
         # the destination.
         destination_point = int(rng.choice(np.sort(non_noise)))
         destination = uf.find(int(out[destination_point]))
-        for label in np.unique(out[non_noise]):
+        merged = out[non_noise]
+        if out[point] != NOISE:
+            # A stop point claimed as a border before it was recorded has
+            # its own cluster missing from E(P); as P is core, that
+            # cluster merges too, so repair never splits P from it.
+            merged = np.append(merged, out[point])
+        for label in np.unique(merged):
             root = uf.find(int(label))
             if root != destination:
                 uf.union(destination, root)

@@ -54,6 +54,16 @@ class TestMerging:
         outcome = post_process(labels, E, tau=3, seed=0)
         assert outcome.labels[3] == outcome.labels[0]
 
+    def test_labeled_stop_point_merges_its_own_cluster(self):
+        # Point 4 was claimed as a border of cluster 0 before it was
+        # recorded, so E(4) only holds cluster-1 points. Being core, it
+        # bridges both clusters; moving it alone would split cluster 0.
+        labels = np.array([0, 0, 1, 1, 0])
+        E = build_E(5, {4: [2, 3]})
+        outcome = post_process(labels, E, tau=2, seed=0)
+        assert outcome.n_merges == 1
+        assert len(set(outcome.labels.tolist())) == 1
+
     def test_three_way_merge(self):
         labels = np.array([0, 1, 2, -1])
         E = build_E(4, {3: [0, 1, 2]})
