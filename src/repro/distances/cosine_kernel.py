@@ -101,6 +101,48 @@ class CosineRangeKernel:
         q_norms = np.sqrt(np.einsum("ij,ij->i", Q, Q))
         return self._coef * q_norms * self._max_norm + _ABS_SLACK
 
+    def _iter_hits(
+        self, Q: np.ndarray, eps_values: list[float]
+    ) -> Iterator[tuple[int, int, np.ndarray, int, np.ndarray]]:
+        """Yield ``(start, stop, dots32, j, hit)`` per query block and radius.
+
+        One float32 GEMM per block serves every radius ``eps_values[j] > 0``
+        of that block; radii ``<= 0`` (and NaN) are skipped, since no pair
+        can qualify. ``dots32`` and ``hit`` are views of buffers reused
+        for every block and radius.
+        """
+        radii = [(j, eps) for j, eps in enumerate(eps_values) if eps > 0]
+        if not radii or self.points.shape[0] == 0:
+            return
+        shape = (min(self.block_size, Q.shape[0]), self.points.shape[0])
+        dots_buf = np.empty(shape, dtype=np.float32)
+        hit_buf = np.empty(shape, dtype=bool)
+        unsure_buf = np.empty(shape, dtype=bool)
+        for start in range(0, Q.shape[0], self.block_size):
+            stop = min(start + self.block_size, Q.shape[0])
+            Qb = Q[start:stop]
+            dots = dots_buf[: stop - start]
+            hit = hit_buf[: stop - start]
+            unsure = unsure_buf[: stop - start]
+            np.matmul(Qb.astype(np.float32), self.points32.T, out=dots)
+            band = self.band(Qb)
+            for j, eps in radii:
+                t = 1.0 - eps
+                # Round each edge to float32, then one ulp further out.
+                lo = np.nextafter((t - band).astype(np.float32), np.float32(-np.inf))
+                hi = np.nextafter((t + band).astype(np.float32), np.float32(np.inf))
+                np.greater(dots, hi[:, None], out=hit)
+                np.greater_equal(dots, lo[:, None], out=unsure)
+                unsure ^= hit  # lo <= dot32 <= hi: the band
+                # A flat nonzero + divmod is several times faster than a
+                # 2-d nonzero on a mask this sparse.
+                rows, cols = np.divmod(np.flatnonzero(unsure), dots.shape[1])
+                if rows.size:
+                    exact = exact_dots(Qb, self.points, rows, cols)
+                    ok = np.maximum(0.0, 1.0 - exact) < eps
+                    hit[rows[ok], cols[ok]] = True
+                yield start, stop, dots, j, hit
+
     def iter_blocks(
         self, Q: np.ndarray, eps: float
     ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
@@ -114,39 +156,24 @@ class CosineRangeKernel:
         them before it advances. Yields nothing when no pair can qualify
         (``eps <= 0`` or no points).
         """
-        if not eps > 0 or self.points.shape[0] == 0:
-            return
-        t = 1.0 - eps
-        shape = (min(self.block_size, Q.shape[0]), self.points.shape[0])
-        dots_buf = np.empty(shape, dtype=np.float32)
-        hit_buf = np.empty(shape, dtype=bool)
-        band_buf = np.empty(shape, dtype=bool)
-        for start in range(0, Q.shape[0], self.block_size):
-            stop = min(start + self.block_size, Q.shape[0])
-            Qb = Q[start:stop]
-            dots = dots_buf[: stop - start]
-            np.matmul(Qb.astype(np.float32), self.points32.T, out=dots)
-            band = self.band(Qb)
-            # Round each edge to float32, then one ulp further out.
-            lo = np.nextafter((t - band).astype(np.float32), np.float32(-np.inf))
-            hi = np.nextafter((t + band).astype(np.float32), np.float32(np.inf))
-            hit = np.greater(dots, hi[:, None], out=hit_buf[: stop - start])
-            unsure = np.greater_equal(dots, lo[:, None], out=band_buf[: stop - start])
-            unsure ^= hit  # lo <= dot32 <= hi: the band
-            # A flat nonzero + divmod is several times faster than a 2-d
-            # nonzero on a mask this sparse.
-            rows, cols = np.divmod(np.flatnonzero(unsure), dots.shape[1])
-            if rows.size:
-                exact = exact_dots(Qb, self.points, rows, cols)
-                ok = np.maximum(0.0, 1.0 - exact) < eps
-                hit[rows[ok], cols[ok]] = True
+        for start, stop, dots, _, hit in self._iter_hits(Q, [eps]):
             yield start, stop, dots, hit
 
     def range_counts(self, Q: np.ndarray, eps: float) -> np.ndarray:
         """Number of points within ``eps`` of every row of ``Q``."""
-        counts = np.zeros(Q.shape[0], dtype=np.int64)
-        for start, stop, _, hit in self.iter_blocks(Q, eps):
-            counts[start:stop] = np.count_nonzero(hit, axis=1)
+        return self.range_counts_multi(Q, [eps])[:, 0]
+
+    def range_counts_multi(self, Q: np.ndarray, eps_values: list[float]) -> np.ndarray:
+        """Counts within every radius, shape ``(len(Q), len(eps_values))``.
+
+        Each query block's float32 GEMM is shared by all radii, and each
+        radius is decided with the predicate and band re-check of
+        :meth:`iter_blocks`, so column ``j`` equals
+        ``range_counts(Q, eps_values[j])``. A radius ``<= 0`` counts 0.
+        """
+        counts = np.zeros((Q.shape[0], len(eps_values)), dtype=np.int64)
+        for start, stop, _, j, hit in self._iter_hits(Q, eps_values):
+            counts[start:stop, j] = np.count_nonzero(hit, axis=1)
         return counts
 
     def range_csr(self, Q: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,14 @@ wall-clock reasons (the benchmarks document which one they use).
 Features are standardized internally (mean/variance of the training set)
 so callers never worry about scaling; weights initialize with He fan-in
 scaling from a seeded generator, making training fully deterministic.
+
+Precision: training runs in float32. Standardization and the He draws
+are float64 and cast once; the parameters, gradients and both Adam
+moments are then one flat float32 vector each, and every step updates
+them in place. Inference (:meth:`MLPRegressor.predict`) stays float64,
+with the float32 weights promoted, so a fitted network predicts exactly
+what float64 arithmetic gives for its weights, and weights loaded from a
+float64 artifact predict as they always did.
 """
 
 from __future__ import annotations
@@ -38,6 +46,10 @@ def _reject_object_arrays(arrays: dict[str, np.ndarray]) -> None:
             )
 
 
+#: Adam's moment decay rates and denominator guard (Kingma & Ba defaults).
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 def paper_hidden_layers() -> tuple[int, ...]:
     """The stage-network architecture used in the paper (Section 3.1)."""
     return (512, 512, 256, 128)
@@ -60,24 +72,32 @@ class TrainingHistory:
         return self.losses[-1]
 
 
-class _AdamState:
-    """First/second moment buffers for one parameter tensor."""
+def _adam_step(
+    params: np.ndarray,
+    grads: np.ndarray,
+    moments: tuple[np.ndarray, np.ndarray],
+    scratch: tuple[np.ndarray, np.ndarray],
+    lr: float,
+    step: int,
+) -> None:
+    """One Adam update of ``params``, in place and allocation-free.
 
-    __slots__ = ("m", "v")
-
-    def __init__(self, shape: tuple[int, ...]) -> None:
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
-
-    def update(
-        self, param: np.ndarray, grad: np.ndarray, lr: float, t: int,
-        beta1: float, beta2: float, eps: float,
-    ) -> None:
-        self.m = beta1 * self.m + (1.0 - beta1) * grad
-        self.v = beta2 * self.v + (1.0 - beta2) * grad * grad
-        m_hat = self.m / (1.0 - beta1**t)
-        v_hat = self.v / (1.0 - beta2**t)
-        param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    ``moments`` (first, second) and ``scratch`` are pairs of arrays
+    shaped like ``params``.
+    """
+    m, v = moments
+    s1, s2 = scratch
+    m *= _BETA1
+    m += np.multiply(grads, 1.0 - _BETA1, out=s1)
+    v *= _BETA2
+    np.multiply(grads, grads, out=s1)
+    v += np.multiply(s1, 1.0 - _BETA2, out=s1)
+    # params -= lr * m_hat / (sqrt(v_hat) + eps), with the bias corrections.
+    np.divide(v, 1.0 - _BETA2**step, out=s1)
+    np.sqrt(s1, out=s1)
+    s1 += _ADAM_EPS
+    np.multiply(m, lr / (1.0 - _BETA1**step), out=s2)
+    params -= np.divide(s2, s1, out=s2)
 
 
 class MLPRegressor:
@@ -168,14 +188,23 @@ class MLPRegressor:
     def _standardize(self, X: np.ndarray) -> np.ndarray:
         return (X - self._feature_mean) / self._feature_std
 
-    def _forward(self, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Return (output, activations) where activations[i] feeds layer i."""
+    def _forward(
+        self, X: np.ndarray, out: list[np.ndarray] | None = None
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Return (output, activations) where activations[i] feeds layer i.
+
+        Computes in the dtype of ``X`` and the weights. ``out`` optionally
+        gives one buffer per layer, with at least ``len(X)`` rows, that
+        the layer's activations are written into.
+        """
         activations = [X]
         h = X
         last = len(self._weights) - 1
         for i, (W, b) in enumerate(zip(self._weights, self._biases)):
-            z = h @ W + b
-            h = z if i == last else np.maximum(z, 0.0)
+            h = np.matmul(h, W, out=None if out is None else out[i][: X.shape[0]])
+            h += b
+            if i != last:
+                np.maximum(h, 0.0, out=h)
             activations.append(h)
         return h[:, 0], activations
 
@@ -207,22 +236,43 @@ class MLPRegressor:
         return h[:, 0]
 
     def _backward(
-        self, activations: list[np.ndarray], residual: np.ndarray
+        self,
+        activations: list[np.ndarray],
+        residual: np.ndarray,
+        out: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Gradients of mean-squared error w.r.t. weights and biases."""
-        n = residual.shape[0]
-        grad_w: list[np.ndarray] = [None] * len(self._weights)
-        grad_b: list[np.ndarray] = [None] * len(self._biases)
+        """Gradients of mean-squared error w.r.t. weights and biases.
+
+        Computes in the dtype of the activations and the weights; ``out``
+        optionally gives ``(grad_w, grad_b)`` arrays to write into.
+        """
+        n_layers = len(self._weights)
+        if out is None:
+            out = ([None] * n_layers, [None] * n_layers)
+        grad_w, grad_b = out
         # dL/dz for the output layer; L = mean(residual^2), residual = pred - y.
-        delta = (2.0 / n) * residual[:, None]
-        for i in range(len(self._weights) - 1, -1, -1):
-            grad_w[i] = activations[i].T @ delta
+        delta = (2.0 / residual.shape[0]) * residual[:, None]
+        for i in range(n_layers - 1, -1, -1):
+            grad_w[i] = np.matmul(activations[i].T, delta, out=grad_w[i])
             if self.l2:
-                grad_w[i] = grad_w[i] + self.l2 * self._weights[i]
-            grad_b[i] = delta.sum(axis=0)
+                grad_w[i] += self.l2 * self._weights[i]
+            grad_b[i] = np.sum(delta, axis=0, out=grad_b[i])
             if i > 0:
-                delta = (delta @ self._weights[i].T) * (activations[i] > 0.0)
+                delta = delta @ self._weights[i].T
+                delta *= activations[i] > 0.0
         return grad_w, grad_b
+
+    def _layer_views(
+        self, flat: np.ndarray
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weight and bias views of a flat vector (W0, b0, W1, ...)."""
+        weights, biases, offset = [], [], 0
+        for W in self._weights:
+            weights.append(flat[offset : offset + W.size].reshape(W.shape))
+            offset += W.size
+            biases.append(flat[offset : offset + W.shape[1]])
+            offset += W.shape[1]
+        return weights, biases
 
     # ------------------------------------------------------------------
     # Public API
@@ -240,11 +290,21 @@ class MLPRegressor:
         std = X.std(axis=0)
         std[std < 1e-12] = 1.0
         self._feature_std = std
-        Xs = self._standardize(X)
+        Xs = self._standardize(X).astype(np.float32)
+        y = y.astype(np.float32)
         self._init_params(X.shape[1])
-        adam_w = [_AdamState(w.shape) for w in self._weights]
-        adam_b = [_AdamState(b.shape) for b in self._biases]
-        beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
+        # One flat float32 vector each for the parameters, their gradients
+        # and both Adam moments; the layers are views into it.
+        params = np.concatenate(
+            [p.ravel() for W, b in zip(self._weights, self._biases) for p in (W, b)]
+        ).astype(np.float32)
+        self._weights, self._biases = self._layer_views(params)
+        grads = np.zeros_like(params)
+        grad_views = self._layer_views(grads)
+        moments = (np.zeros_like(params), np.zeros_like(params))
+        scratch = (np.empty_like(params), np.empty_like(params))
+        rows = min(self.batch_size, Xs.shape[0])
+        act_bufs = [np.empty((rows, W.shape[1]), np.float32) for W in self._weights]
         step = 0
         self.history = TrainingHistory()
         n = Xs.shape[0]
@@ -253,15 +313,12 @@ class MLPRegressor:
             epoch_loss = 0.0
             for start in range(0, n, self.batch_size):
                 batch = order[start : start + self.batch_size]
-                pred, activations = self._forward(Xs[batch])
+                pred, activations = self._forward(Xs[batch], out=act_bufs)
                 residual = pred - y[batch]
-                epoch_loss += float((residual**2).sum())
-                grad_w, grad_b = self._backward(activations, residual)
+                epoch_loss += float(np.dot(residual, residual))
+                self._backward(activations, residual, out=grad_views)
                 step += 1
-                for W, g, state in zip(self._weights, grad_w, adam_w):
-                    state.update(W, g, self.learning_rate, step, beta1, beta2, adam_eps)
-                for b, g, state in zip(self._biases, grad_b, adam_b):
-                    state.update(b, g, self.learning_rate, step, beta1, beta2, adam_eps)
+                _adam_step(params, grads, moments, scratch, self.learning_rate, step)
             self.history.losses.append(epoch_loss / n)
         self._fold_cache = None
         return self

@@ -19,6 +19,13 @@ Counts are converted to fractions of the training-split size, which lets
 the estimator transfer to the differently-sized clustering (test) split —
 and is also why a trained estimator "can be used on any other dataset
 with similar distribution", as the paper argues.
+
+Precision: every stage network trains in float32 (see
+:mod:`repro.estimators.mlp`), so :meth:`RMICardinalityEstimator.save`
+writes float32 weights. Routing and inference (``_predict_log_counts``,
+hence the CardEst gate) stay float64 with the weights promoted; an
+artifact with float64 weights, as earlier versions wrote, loads and
+predicts exactly as before.
 """
 
 from __future__ import annotations

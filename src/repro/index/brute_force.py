@@ -203,12 +203,17 @@ class BruteForceIndex(NeighborIndex):
     ) -> np.ndarray:
         """Counts for every (query row, eps value) pair.
 
-        Returns shape ``(len(Q), len(eps_values))``. Used by the estimator
+        Returns shape ``(len(Q), len(eps_values))``; column ``j`` equals
+        ``batch_range_count(Q, eps_values[j])``. Used by the estimator
         training-set builder, which needs counts at many radii per query.
+        Cosine shares one float32 GEMM per query block across all radii
+        on the range kernel; other metrics threshold float64 blocks.
         """
         self._require_built()
-        eps_values = np.asarray(eps_values, dtype=np.float64)
+        eps_values = np.asarray(eps_values, dtype=np.float64).reshape(-1)
         Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
+        if self._kernel is not None:
+            return self._kernel.range_counts_multi(Q, eps_values.tolist())
         counts = np.empty((Q.shape[0], eps_values.size), dtype=np.int64)
         # One radius at a time, so no (block, n, R) boolean temporary.
         for start, stop, block in self._iter_blocks(Q):

@@ -36,6 +36,7 @@ executor spec, shut the fleet down.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -429,11 +430,11 @@ class WorkerPool:
             proc.daemon = True
             proc.start()
             processes.append(proc)
-        addresses = []
+        bound: dict[int, str] = {}
         try:
             for _ in range(n_workers):
-                bound_host, bound_port = queue.get(timeout=start_timeout_s)
-                addresses.append(f"{bound_host}:{bound_port}")
+                pid, bound_host, bound_port = queue.get(timeout=start_timeout_s)
+                bound[pid] = f"{bound_host}:{bound_port}"
         except Exception as exc:
             for proc in processes:
                 proc.terminate()
@@ -441,7 +442,9 @@ class WorkerPool:
                 f"local pool workers failed to start within "
                 f"{start_timeout_s}s: {exc}"
             ) from exc
-        return cls(addresses, processes)
+        # Workers report in whatever order they bind; list each address in
+        # its process's place, so ``addresses[i]`` is ``worker_pids[i]``'s.
+        return cls([bound[proc.pid] for proc in processes], processes)
 
     def executor_spec(self, **options):
         """The ``remote`` :class:`~repro.index.sharded.ExecutorSpec` for
@@ -504,4 +507,6 @@ def _serve_reporting(
         max_cached_shards=max_cached_shards,
         max_cached_bytes=max_cached_bytes,
     )
-    serve(host, 0, on_bound=lambda h, p: queue.put((h, p)), holder=holder)
+    serve(
+        host, 0, on_bound=lambda h, p: queue.put((os.getpid(), h, p)), holder=holder
+    )

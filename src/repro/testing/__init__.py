@@ -9,6 +9,9 @@ with the same bare module name are collected in one run.
 ``reference_dbscan`` is deliberately implemented independently of the
 library code paths (full distance matrix + BFS) so algorithmic tests
 compare two distinct implementations rather than a module with itself.
+``reference_mlp_fit`` is the float64 training loop that
+``MLPRegressor.fit`` replaced with a float32 one: the oracle the
+reduced-precision estimator is tested and benchmarked against.
 
 The runtime resource sanitizer lives in the ``repro.testing.sanitizer``
 submodule (a pytest plugin — load it with ``-p repro.testing.sanitizer``;
@@ -25,7 +28,9 @@ from repro.distances import normalize_rows
 __all__ = [
     "canonical",
     "make_blobs_on_sphere",
+    "median_q_error",
     "reference_dbscan",
+    "reference_mlp_fit",
     "write_benchmark_rows",
 ]
 
@@ -71,6 +76,61 @@ def reference_dbscan(X: np.ndarray, eps: float, tau: int) -> np.ndarray:
                     labels[q] = cluster
                     frontier.append(q)
     return labels
+
+
+def reference_mlp_fit(model, X: np.ndarray, y: np.ndarray):
+    """Train an ``MLPRegressor`` in float64, one Adam state per tensor.
+
+    The loop ``MLPRegressor.fit`` ran before it moved to float32. It
+    makes the same seeded draws in the same order (He initialization,
+    then one permutation per epoch), so it sees the same batches as a
+    float32 fit of the same seed. It trains through the model's own
+    ``_forward`` and ``_backward``, which compute in float64 here because
+    the features and parameters are float64. Returns ``model``.
+    """
+    # Imported lazily: the helpers stay importable without the estimators.
+    from repro.estimators.mlp import TrainingHistory
+
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    model._feature_mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    std[std < 1e-12] = 1.0
+    model._feature_std = std
+    Xs = model._standardize(X)
+    model._init_params(X.shape[1])
+    params = model._weights + model._biases
+    moments = [(np.zeros(p.shape), np.zeros(p.shape)) for p in params]
+    beta1, beta2, adam_eps, lr = 0.9, 0.999, 1e-8, model.learning_rate
+    step = 0
+    model.history = TrainingHistory()
+    n = Xs.shape[0]
+    for _ in range(model.epochs):
+        order = model._rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, model.batch_size):
+            batch = order[start : start + model.batch_size]
+            pred, activations = model._forward(Xs[batch])
+            residual = pred - y[batch]
+            epoch_loss += float((residual**2).sum())
+            grad_w, grad_b = model._backward(activations, residual)
+            step += 1
+            for param, grad, (m, v) in zip(params, grad_w + grad_b, moments):
+                m[...] = beta1 * m + (1.0 - beta1) * grad
+                v[...] = beta2 * v + (1.0 - beta2) * grad * grad
+                m_hat = m / (1.0 - beta1**step)
+                v_hat = v / (1.0 - beta2**step)
+                param -= lr * m_hat / (np.sqrt(v_hat) + adam_eps)
+        model.history.losses.append(epoch_loss / n)
+    model._fold_cache = None
+    return model
+
+
+def median_q_error(estimated: np.ndarray, true: np.ndarray) -> float:
+    """Median of ``max(est/true, true/est)``, both counts floored at 1."""
+    est = np.maximum(np.asarray(estimated, dtype=np.float64), 1.0)
+    ref = np.maximum(np.asarray(true, dtype=np.float64), 1.0)
+    return float(np.median(np.maximum(est / ref, ref / est)))
 
 
 def canonical(labels: np.ndarray) -> np.ndarray:

@@ -58,6 +58,18 @@ def assert_matches_reference(index: BruteForceIndex, Q: np.ndarray, eps: float):
     assert np.array_equal(
         index.batch_nearest_within(Q, eps, COSINE), reference_nearest(Q, X, eps)
     )
+    assert_multi_matches_reference(index, Q, [eps])
+
+
+def assert_multi_matches_reference(index: BruteForceIndex, Q: np.ndarray, radii):
+    """``range_count_multi_eps`` against the float64 predicate and per-radius counts."""
+    got = index.range_count_multi_eps(Q, radii)
+    assert got.shape == (len(Q), len(radii))
+    distances = reference_distances(Q, index.points)
+    for j, eps in enumerate(radii):
+        assert got[:, j].tolist() == np.count_nonzero(distances < eps, axis=1).tolist()
+        assert np.array_equal(got[:, j], index.batch_range_count(Q, eps))
+    return got
 
 
 def unit_rows(n: int, dim: int, seed: int) -> np.ndarray:
@@ -256,6 +268,66 @@ class TestNearestWithin:
         assert np.array_equal(got, expected)
         as_cosine = NeighborIndex.batch_nearest_within(host, Q, 2.5, COSINE)
         assert not np.array_equal(got, as_cosine)
+
+
+class TestMultiRadiusCounts:
+    """``range_count_multi_eps``: one GEMM per block shared by every radius."""
+
+    @pytest.mark.parametrize("dim", [3, 64, 768])
+    def test_radius_at_pair_distance_and_one_ulp_either_side(self, dim):
+        X = unit_rows(12, dim, seed=dim)
+        radii = []
+        for j in range(1, 6):
+            d = pair_distance(X[0], X[j])
+            radii += [np.nextafter(d, -np.inf), d, np.nextafter(d, np.inf)]
+        got = assert_multi_matches_reference(BruteForceIndex().build(X), X[:3], radii)
+        # Strict <: the pair at exactly eps is out, one ulp above is in.
+        for j in range(1, 6):
+            below, at, above = got[0, 3 * (j - 1) : 3 * j]
+            assert below == at < above
+
+    def test_duplicates(self):
+        base = unit_rows(5, 32, seed=1)
+        X = np.vstack([base, base[2], base[2], base[4]])
+        got = assert_multi_matches_reference(
+            BruteForceIndex().build(X), X, [1e-12, 0.3, 1.0]
+        )
+        assert got[2, 0] == got[5, 0] == got[6, 0] == 3
+
+    def test_single_point_and_empty_batch(self):
+        single = BruteForceIndex().build(unit_rows(1, 16, seed=6))
+        Q = unit_rows(4, 16, seed=7)
+        assert_multi_matches_reference(single, Q, [0.5, 1.0, 2.0])
+        index = BruteForceIndex().build(unit_rows(10, 16, seed=8))
+        got = index.range_count_multi_eps(np.empty((0, 16)), [0.2, 0.5])
+        assert got.shape == (0, 2) and got.dtype == np.int64
+
+    def test_unsorted_repeated_and_nonpositive_radii(self):
+        X = unit_rows(50, 24, seed=19)
+        radii = [0.9, 0.2, 0.9, 0.0, -0.5, 0.45, 0.2]
+        got = assert_multi_matches_reference(BruteForceIndex().build(X), X[:10], radii)
+        assert np.array_equal(got[:, 0], got[:, 2])
+        assert np.array_equal(got[:, 1], got[:, 6])
+        assert not got[:, 3].any() and not got[:, 4].any()
+
+    def test_same_counts_straight_and_across_block_boundaries(self):
+        X = unit_rows(300, 64, seed=20)
+        Q = X[:40]
+        # Radii inside the float32 band of real pairs, so re-checks happen.
+        radii = [np.nextafter(pair_distance(X[i], X[i + 1]), np.inf) for i in range(5)]
+        straight = BruteForceIndex(block_size=1024).build(X)
+        blocked = BruteForceIndex(block_size=7).build(X)
+        got = assert_multi_matches_reference(blocked, Q, radii)
+        assert np.array_equal(straight.range_count_multi_eps(Q, radii), got)
+
+    def test_euclidean_keeps_float64_blocks(self):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(40, 5))
+        index = BruteForceIndex(metric="euclidean").build(X)
+        radii = [0.5, 2.0, 0.0]
+        got = index.range_count_multi_eps(X[:6], radii)
+        for j, eps in enumerate(radii):
+            assert np.array_equal(got[:, j], index.batch_range_count(X[:6], eps))
 
 
 @st.composite

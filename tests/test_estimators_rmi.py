@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.estimators import RMICardinalityEstimator
+from repro.data import load_dataset
+from repro.estimators import MLPRegressor, RMICardinalityEstimator
 from repro.exceptions import InvalidParameterError, NotFittedError
 from repro.index import BruteForceIndex
 
-from repro.testing import make_blobs_on_sphere
+from repro.testing import make_blobs_on_sphere, median_q_error, reference_mlp_fit
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +163,123 @@ class TestRouting:
         ).fit(X)
         est.bind(X)
         assert est.estimate_many(X[:4], 0.5).shape == (4,)
+
+
+class RecordingRng:
+    """A seeded generator that records every draw the network makes."""
+
+    def __init__(self, seed: int) -> None:
+        self._rng = np.random.default_rng(seed)
+        self.draws: list[tuple[str, np.ndarray]] = []
+
+    def normal(self, **kwargs) -> np.ndarray:
+        out = self._rng.normal(**kwargs)
+        self.draws.append(("normal", out.copy()))  # training updates ``out``
+        return out
+
+    def permutation(self, n: int) -> np.ndarray:
+        out = self._rng.permutation(n)
+        self.draws.append(("permutation", out))
+        return out
+
+
+class TestFloat32Training:
+    """The reduced-precision training contract (float64 oracle in repro.testing)."""
+
+    RADII = (0.3, 0.4, 0.5, 0.6, 0.7)
+
+    @pytest.fixture(scope="class")
+    def q_errors(self):
+        """(float32, float64 oracle) median q-error per seed of a small MS surrogate."""
+        out = []
+        for seed in (0, 1, 2):
+            X_train, X_test = load_dataset("MS-50k", scale=0.01, seed=seed).split()
+            index = BruteForceIndex().build(X_train)
+            true = np.concatenate(
+                [index.batch_range_count(X_test, r) for r in self.RADII]
+            )
+            kwargs = dict(
+                hidden_layers=(32, 16), epochs=20, n_train_queries=80, seed=seed
+            )
+
+            def q_error(estimator):
+                estimator.bind(X_train)
+                est = np.concatenate(
+                    [estimator.estimate_many(X_test, r) for r in self.RADII]
+                )
+                return median_q_error(est, true)
+
+            fast = RMICardinalityEstimator(**kwargs).fit(X_train)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(MLPRegressor, "fit", reference_mlp_fit)
+                oracle = RMICardinalityEstimator(**kwargs).fit(X_train)
+            # Same seed, same training set: only the training precision differs.
+            assert np.array_equal(
+                fast.training_set_.features, oracle.training_set_.features
+            )
+            assert oracle.stage_model(0, 0)._weights[0].dtype == np.float64
+            out.append((q_error(fast), q_error(oracle)))
+        return out
+
+    def test_q_error_within_ten_percent_of_float64_oracle(self, q_errors):
+        for fast, oracle in q_errors:
+            assert fast <= 1.10 * oracle, (fast, oracle)
+
+    def test_trajectory_tracks_the_float64_oracle(self):
+        # Same draws, same batches: over a few epochs float32 rounding
+        # moves the weights by ~1e-7, far inside this bound, while a
+        # wrong Adam moment or bias correction moves them by ~1e-3.
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(600, 10))
+        y = X[:, 0] - 2 * X[:, 3] + np.sin(X[:, 1])
+        fast = MLPRegressor(hidden_layers=(16, 8), epochs=5, seed=0).fit(X, y)
+        oracle = reference_mlp_fit(
+            MLPRegressor(hidden_layers=(16, 8), epochs=5, seed=0), X, y
+        )
+        for got, expected in zip(
+            fast._weights + fast._biases, oracle._weights + oracle._biases
+        ):
+            assert np.allclose(got, expected, rtol=0.0, atol=1e-4)
+        assert fast.history.losses == pytest.approx(oracle.history.losses, rel=1e-5)
+
+    def test_weights_are_float32_and_fits_are_bit_identical(self):
+        X, _ = make_blobs_on_sphere(40, 2, 16, spread=0.3, seed=1)
+
+        def fit():
+            return RMICardinalityEstimator(
+                hidden_layers=(8, 4), epochs=4, n_train_queries=30, seed=9
+            ).fit(X)
+
+        first, second = fit(), fit()
+        for stage, n in enumerate(first.stages):
+            for i in range(n):
+                a, b = first.stage_model(stage, i), second.stage_model(stage, i)
+                for p, q in zip(a._weights + a._biases, b._weights + b._biases):
+                    assert p.dtype == np.float32
+                    assert np.array_equal(p, q)
+                assert a.history.losses == b.history.losses
+
+    def test_draws_equal_the_float64_loop(self):
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(300, 6))
+        y = X[:, 0] - X[:, 1]
+        models = []
+        for train in (MLPRegressor.fit, reference_mlp_fit):
+            model = MLPRegressor(hidden_layers=(5, 3), batch_size=64, epochs=3, seed=0)
+            model._rng = RecordingRng(4)
+            train(model, X, y)
+            models.append(model)
+        fast, oracle = (m._rng.draws for m in models)
+        # The stream the float64 trainer always drew: He initialization
+        # per layer, then one permutation per epoch.
+        replay = np.random.default_rng(4)
+        expected = [
+            replay.normal(scale=np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
+            for fan_in, fan_out in ((6, 5), (5, 3), (3, 1))
+        ] + [replay.permutation(300) for _ in range(3)]
+        assert [kind for kind, _ in fast] == ["normal"] * 3 + ["permutation"] * 3
+        for draws in (fast, oracle):
+            assert len(draws) == len(expected)
+            for (kind, got), want in zip(draws, expected):
+                assert np.array_equal(got, want), kind
+        assert models[0]._weights[0].dtype == np.float32
